@@ -412,11 +412,7 @@ func RunProgramBackend(cfg machine.Config, workload string, prog *isa.Program, t
 	s.prog = prog
 	if cfg.ModelWrongPath {
 		s.shadowMem = emu.NewMemory()
-		for addr, bytes := range prog.Data {
-			for i, b := range bytes {
-				s.shadowMem.StoreByte(addr+uint64(i), b)
-			}
-		}
+		s.shadowMem.LoadData(prog.Data)
 		s.wpOverlay = make(map[uint64]byte)
 	}
 	return s.Simulate()
@@ -638,8 +634,8 @@ func (s *Simulator) Simulate() (*Result, error) {
 	s.res.L1I = s.hier.L1I().Stats()
 	s.res.L1D = s.hier.L1D().Stats()
 	s.res.L2 = s.hier.L2().Stats()
-	for _, te := range s.trace {
-		s.res.Table1Counts[isa.ClassOf(te.Inst.Op).Row]++
+	for i := range s.trace {
+		s.res.Table1Counts[isa.ClassOf(s.trace[i].Inst.Op).Row]++
 	}
 	if s.buf != nil {
 		// Hand regrown backing arrays back for the next run.
@@ -745,7 +741,8 @@ func (s *Simulator) buildDependences() (srcIdx [][3]int32, srcTC [][3]bool, nsrc
 		lastWriter[i] = -1
 	}
 	var regs [4]isa.Reg
-	for i, te := range s.trace {
+	for i := range s.trace {
+		te := &s.trace[i]
 		cls := te.Inst.EffectiveClass()
 		srcs := te.Inst.Srcs(regs[:0])
 		k := 0

@@ -50,11 +50,7 @@ type Emulator struct {
 // New builds an emulator with the program's initial data loaded.
 func New(prog *isa.Program) *Emulator {
 	e := &Emulator{Mem: NewMemory(), PC: prog.Entry, prog: prog}
-	for addr, bytes := range prog.Data {
-		for i, b := range bytes {
-			e.Mem.StoreByte(addr+uint64(i), b)
-		}
-	}
+	e.Mem.LoadData(prog.Data)
 	return e
 }
 
@@ -374,13 +370,24 @@ func (e *Emulator) Run(max int64, fn func(TraceEntry)) (int64, error) {
 }
 
 // Trace runs the program to completion (bounded by max) and collects the
-// full committed trace.
+// full committed trace. It runs the program twice: a callback-free pass
+// counts the stream (and surfaces any error, returning a nil trace), then a
+// second pass fills a slice allocated once at that exact length, entry by
+// entry in place — no append growth and no per-entry copy.
 func Trace(prog *isa.Program, max int64) ([]TraceEntry, error) {
-	e := New(prog)
-	trace := make([]TraceEntry, 0, 4096)
-	_, err := e.Run(max, func(t TraceEntry) { trace = append(trace, t) })
+	n, err := New(prog).Run(max, nil)
 	if err != nil {
 		return nil, err
+	}
+	e := New(prog)
+	trace := make([]TraceEntry, n)
+	for i := range trace {
+		if err := e.StepInto(&trace[i]); err != nil {
+			return nil, err
+		}
+	}
+	if !e.halted {
+		return nil, fmt.Errorf("emu: replay did not halt after %d instructions", n)
 	}
 	return trace, nil
 }

@@ -92,6 +92,18 @@ func (m *Memory) StoreByte(addr uint64, v byte) {
 	m.writePage(addr)[addr&(pageSize-1)] = v
 }
 
+// LoadData stores a program's initial data segments (isa.Program.Data,
+// start address to contents), copying a page-sized run at a time.
+func (m *Memory) LoadData(segs map[uint64][]byte) {
+	for addr, data := range segs {
+		for len(data) > 0 {
+			n := copy(m.writePage(addr)[addr&(pageSize-1):], data)
+			addr += uint64(n)
+			data = data[n:]
+		}
+	}
+}
+
 // Read reads size bytes (1..8) little-endian.
 //
 //rblint:hotpath emulator fast-forward: one page resolve per access, no allocation

@@ -305,8 +305,8 @@ func Table1() (*Table1Data, error) {
 		if err != nil {
 			return nil, err
 		}
-		for _, te := range trace {
-			counts[isa.ClassOf(te.Inst.Op).Row]++
+		for i := range trace {
+			counts[isa.ClassOf(trace[i].Inst.Op).Row]++
 		}
 		total += int64(len(trace))
 	}

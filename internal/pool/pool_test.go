@@ -27,6 +27,9 @@ func TestSubmitRunsEverything(t *testing.T) {
 	if got := n.Load(); got != 200 {
 		t.Fatalf("ran %d tasks, want 200", got)
 	}
+	// A worker updates the counters after its task returns, so wait for the
+	// workers to exit before reading them.
+	p.Close()
 	if p.Submitted() != 200 || p.Completed() != 200 {
 		t.Fatalf("counters submitted=%d completed=%d, want 200/200", p.Submitted(), p.Completed())
 	}

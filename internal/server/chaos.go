@@ -74,11 +74,14 @@ func (s *Server) chaotic(h http.HandlerFunc) http.HandlerFunc {
 }
 
 // exhaustPool wedges every worker on a shared timer for hold, so the next
-// simulation submitted to the pool waits out the hold first. TrySubmit is
-// used so exhaustion can never deadlock a pool that is already saturated
-// or closing.
+// simulation submitted to the pool waits out the hold first. The timer
+// closes the release channel, freeing all the wedged workers at once (a
+// time.After channel would deliver to only one of them). TrySubmit is used
+// so exhaustion can never deadlock a pool that is already saturated or
+// closing.
 func (s *Server) exhaustPool(hold time.Duration) {
-	release := time.After(hold) //rblint:allow determinism
+	release := make(chan struct{})
+	time.AfterFunc(hold, func() { close(release) }) //rblint:allow determinism
 	for i := 0; i < s.pool.Workers(); i++ {
 		s.pool.TrySubmit(func() { <-release })
 	}

@@ -173,10 +173,13 @@ func TestBreakerStateMachine(t *testing.T) {
 }
 
 // chaosServer builds a private server (the shared one must stay
-// chaos-free) with a breaker tuned for fast, deterministic tripping.
+// chaos-free) with a breaker tuned for fast, deterministic tripping. Its
+// pool has a fixed four workers, whatever the host's CPU count, so the
+// chaos faults that wedge every worker behave the same on any machine.
 func chaosServer(t *testing.T, chaos ChaosConfig) *Server {
 	t.Helper()
 	s := New(Config{
+		Parallel:          4,
 		Logf:              func(string, ...any) {},
 		Chaos:             chaos,
 		BreakerWindow:     8,
@@ -229,7 +232,9 @@ func TestBreakerTripsOnChaosCancellation(t *testing.T) {
 
 // TestChaosLatencyAndExhaustionRecover: latency and pool-exhaustion faults
 // slow requests down but every request still completes correctly — the
-// worker pool drains the blockers and the breaker never trips on 2xx.
+// worker pool drains the blockers and the breaker never trips on 2xx. With
+// several pool workers, every blocker, not just one, must be released by
+// the exhaustion hold.
 func TestChaosLatencyAndExhaustionRecover(t *testing.T) {
 	s := chaosServer(t, ChaosConfig{
 		LatencyEvery: 2, Latency: 5 * time.Millisecond,

@@ -1,18 +1,22 @@
 package workload
 
-import "math"
+import (
+	"math"
+	"sync"
+)
 
 // The twelve SPECint2000-flavored kernels. Same register conventions as the
 // SPECint95 set.
 
-var spec2000 = []*Workload{
-	{
-		Name:  "bzip2",
-		Suite: "SPECint2000",
-		Description: "Block sort: repeated compare-and-swap passes over a " +
-			"random key array — heavily data-dependent branches.",
-		MaxInsts: 1_500_000,
-		Source: dataQuads(0xa0000, 512, 101, nil) + `
+var spec2000 = sync.OnceValue(func() []*Workload {
+	return []*Workload{
+		{
+			Name:  "bzip2",
+			Suite: "SPECint2000",
+			Description: "Block sort: repeated compare-and-swap passes over a " +
+				"random key array — heavily data-dependent branches.",
+			MaxInsts: 1_500_000,
+			Source: dataQuads(0xa0000, 512, 101, nil) + `
         li   r10, 0xa0000        ; key array: 512 x 8B (input block)
         clr  r20                 ; swap count
         li   r29, 14             ; sort passes
@@ -33,14 +37,14 @@ inorder:
         bgt  r29, pass
         halt
 `,
-	},
-	{
-		Name:  "crafty",
-		Suite: "SPECint2000",
-		Description: "Chess bitboards: attack-set generation with wide " +
-			"logical operations, population counts, and leading/trailing zero scans.",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0xb0000, 64, 102, nil) + tapeData(0xb8000, 103) + `
+		},
+		{
+			Name:  "crafty",
+			Suite: "SPECint2000",
+			Description: "Chess bitboards: attack-set generation with wide " +
+				"logical operations, population counts, and leading/trailing zero scans.",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0xb0000, 64, 102, nil) + tapeData(0xb8000, 103) + `
         li   r10, 0xb0000        ; 64-entry attack table (input position)
 ` + tapeSetup("0xb8000") + `
         clr  r20
@@ -66,17 +70,17 @@ nomove: subq r29, #1, r29
         bgt  r29, eval
         halt
 `,
-	},
-	{
-		Name:  "eon",
-		Suite: "SPECint2000",
-		Description: "Ray tracing flavor: floating-point dot products and " +
-			"scaling mixed with integer grid stepping (the suite's FP-leaning member).",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0xc0000, 768, 104, func(v uint64) uint64 {
-			// IEEE doubles in [1, 2): fixed exponent, random mantissa.
-			return math.Float64bits(1) | v>>12
-		}) + tapeData(0xc8000, 105) + `
+		},
+		{
+			Name:  "eon",
+			Suite: "SPECint2000",
+			Description: "Ray tracing flavor: floating-point dot products and " +
+				"scaling mixed with integer grid stepping (the suite's FP-leaning member).",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0xc0000, 768, 104, func(v uint64) uint64 {
+				// IEEE doubles in [1, 2): fixed exponent, random mantissa.
+				return math.Float64bits(1) | v>>12
+			}) + tapeData(0xc8000, 105) + `
         li   r10, 0xc0000        ; vector table: 256 x 3 doubles (input scene)
 ` + tapeSetup("0xc8000") + `
         clr  r20
@@ -104,14 +108,14 @@ ray:
         bgt  r29, ray
         halt
 `,
-	},
-	{
-		Name:  "gap",
-		Suite: "SPECint2000",
-		Description: "Computer algebra: multiply-heavy arithmetic chains " +
-			"(polynomial evaluation by Horner's rule over input coefficients).",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0xd0000, 64, 106, func(v uint64) uint64 { return v & 65535 }) + `
+		},
+		{
+			Name:  "gap",
+			Suite: "SPECint2000",
+			Description: "Computer algebra: multiply-heavy arithmetic chains " +
+				"(polynomial evaluation by Horner's rule over input coefficients).",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0xd0000, 64, 106, func(v uint64) uint64 { return v & 65535 }) + `
         li   r10, 0xd0000        ; coefficient array: 64 x 8B (input)
         li   r12, 48271          ; evaluation point
         li   r13, 65521          ; modulus (2^16-15)
@@ -136,14 +140,14 @@ horner: mulq r2, r12, r2         ; acc = acc*x + c
         bgt  r29, evalp
         halt
 `,
-	},
-	{
-		Name:  "gcc00",
-		Suite: "SPECint2000",
-		Description: "Compiler flavor, 2000 edition: larger node pool (1200 " +
-			"nodes, 28KB) and a richer type dispatch than the 95 kernel.",
-		MaxInsts: 1_200_000,
-		Source: tapeData(0xe8000, 107) + `
+		},
+		{
+			Name:  "gcc00",
+			Suite: "SPECint2000",
+			Description: "Compiler flavor, 2000 edition: larger node pool (1200 " +
+				"nodes, 28KB) and a richer type dispatch than the 95 kernel.",
+			MaxInsts: 1_200_000,
+			Source: tapeData(0xe8000, 107) + `
         li   r10, 0xe0000        ; node pool: [next, type, value] x 24B
 ` + tapeSetup("0xe8000") + `
         mov  r10, r1
@@ -185,16 +189,16 @@ adv:    ldq  r1, 0(r1)
         bgt  r29, walk
         halt
 `,
-	},
-	{
-		Name:  "gzip",
-		Suite: "SPECint2000",
-		Description: "LZ77 matching: scan a 16KB input window for longest " +
-			"byte matches (tight byte-compare inner loops).",
-		MaxInsts: 1_500_000,
-		Source: dataBytes(0xf0000, 16384, 108, func(v uint64) uint64 {
-			return v & 3 // small alphabet -> real matches exist
-		}) + tapeData(0xf8000, 109) + `
+		},
+		{
+			Name:  "gzip",
+			Suite: "SPECint2000",
+			Description: "LZ77 matching: scan a 16KB input window for longest " +
+				"byte matches (tight byte-compare inner loops).",
+			MaxInsts: 1_500_000,
+			Source: dataBytes(0xf0000, 16384, 108, func(v uint64) uint64 {
+				return v & 3 // small alphabet -> real matches exist
+			}) + tapeData(0xf8000, 109) + `
         li   r10, 0xf0000        ; window: 16KB (input text)
 ` + tapeSetup("0xf8000") + `
         clr  r20                 ; total match length
@@ -222,14 +226,14 @@ mdone:  addq r20, r4, r20
         bgt  r29, match
         halt
 `,
-	},
-	{
-		Name:  "mcf",
-		Suite: "SPECint2000",
-		Description: "Network simplex flavor: pointer chasing through a " +
-			"512KB arc array — far exceeding the 8KB L1 and pressuring L2.",
-		MaxInsts: 1_200_000,
-		Source: `
+		},
+		{
+			Name:  "mcf",
+			Suite: "SPECint2000",
+			Description: "Network simplex flavor: pointer chasing through a " +
+				"512KB arc array — far exceeding the 8KB L1 and pressuring L2.",
+			MaxInsts: 1_200_000,
+			Source: `
         li   r10, 0x200000       ; arc array: 16384 x 32B = 512KB
         li   r11, 16384
         ; build a pseudo-random permutation ring: arc[i].next points at
@@ -266,15 +270,15 @@ chase:  ldq  r2, 8(r1)           ; cost
         bgt  r29, chase
         halt
 `,
-	},
-	{
-		Name:  "parser",
-		Suite: "SPECint2000",
-		Description: "Link grammar flavor: table-driven state machine over an " +
-			"input token stream with frequent short branches.",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0x110000, 512, 110, func(v uint64) uint64 { return v & 63 }) +
-			tapeData(0x118000, 111) + `
+		},
+		{
+			Name:  "parser",
+			Suite: "SPECint2000",
+			Description: "Link grammar flavor: table-driven state machine over an " +
+				"input token stream with frequent short branches.",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0x110000, 512, 110, func(v uint64) uint64 { return v & 63 }) +
+				tapeData(0x118000, 111) + `
         li   r10, 0x110000       ; transition table: 64 states x 8 tokens (input grammar)
 ` + tapeSetup("0x118000") + `
         clr  r12                 ; state
@@ -301,19 +305,19 @@ nexts:  subq r29, #1, r29
         bgt  r29, step
         halt
 `,
-	},
-	{
-		Name:  "perlbmk",
-		Suite: "SPECint2000",
-		Description: "Interpreter flavor: bytecode dispatch loop over an " +
-			"input program, the 2000 edition of the perl kernel.",
-		MaxInsts: 1_500_000,
-		Source: dataQuads(0x120000, 2048, 112, func(v uint64) uint64 {
-			if v%4 != 0 {
-				v &^= 3 // 75% of bytecodes are pADD
-			}
-			return v
-		}) + `
+		},
+		{
+			Name:  "perlbmk",
+			Suite: "SPECint2000",
+			Description: "Interpreter flavor: bytecode dispatch loop over an " +
+				"input program, the 2000 edition of the perl kernel.",
+			MaxInsts: 1_500_000,
+			Source: dataQuads(0x120000, 2048, 112, func(v uint64) uint64 {
+				if v%4 != 0 {
+					v &^= 3 // 75% of bytecodes are pADD
+				}
+				return v
+			}) + `
         .entry main
 pADD:   addq r20, r2, r20
         br   r31, pnext
@@ -355,15 +359,15 @@ pnext:  subq r29, #1, r29
         jmp  r26, (r27)
 done:   halt
 `,
-	},
-	{
-		Name:  "twolf",
-		Suite: "SPECint2000",
-		Description: "Placement annealing flavor: propose cell swaps, " +
-			"compute Manhattan wire-length deltas with CMOV-based abs/min.",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0x130000, 1024, 113, func(v uint64) uint64 { return v & 1023 }) +
-			tapeData(0x138000, 114) + `
+		},
+		{
+			Name:  "twolf",
+			Suite: "SPECint2000",
+			Description: "Placement annealing flavor: propose cell swaps, " +
+				"compute Manhattan wire-length deltas with CMOV-based abs/min.",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0x130000, 1024, 113, func(v uint64) uint64 { return v & 1023 }) +
+				tapeData(0x138000, 114) + `
         li   r10, 0x130000       ; cell coordinates: 512 x [x, y] (input placement)
 ` + tapeSetup("0x138000") + `
         clr  r20                 ; accepted swaps
@@ -401,14 +405,14 @@ reject: subq r29, #1, r29
         bgt  r29, anneal
         halt
 `,
-	},
-	{
-		Name:  "vortex00",
-		Suite: "SPECint2000",
-		Description: "Object database, 2000 edition: larger 128-byte records " +
-			"with two secondary indices and call-heavy transactions.",
-		MaxInsts: 1_500_000,
-		Source: tapeData(0x15c000, 115) + `
+		},
+		{
+			Name:  "vortex00",
+			Suite: "SPECint2000",
+			Description: "Object database, 2000 edition: larger 128-byte records " +
+				"with two secondary indices and call-heavy transactions.",
+			MaxInsts: 1_500_000,
+			Source: tapeData(0x15c000, 115) + `
         .entry main
 ; insert(r1=key): record at slot key%512
 insert: and  r1, #511, r2
@@ -463,15 +467,15 @@ nextt:  subq r29, #1, r29
         bgt  r29, txn
         halt
 `,
-	},
-	{
-		Name:  "vpr",
-		Suite: "SPECint2000",
-		Description: "FPGA routing flavor: breadth-limited grid walks " +
-			"computing path costs with min-via-CMOV over an input cost grid.",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0x160000, 4096, 116, func(v uint64) uint64 { return v&127 + 1 }) +
-			tapeData(0x168000, 117) + `
+		},
+		{
+			Name:  "vpr",
+			Suite: "SPECint2000",
+			Description: "FPGA routing flavor: breadth-limited grid walks " +
+				"computing path costs with min-via-CMOV over an input cost grid.",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0x160000, 4096, 116, func(v uint64) uint64 { return v&127 + 1 }) +
+				tapeData(0x168000, 117) + `
         li   r10, 0x160000       ; cost grid: 64x64 x 8B (input routing costs)
 ` + tapeSetup("0x168000") + `
         clr  r20                 ; total route cost
@@ -503,5 +507,6 @@ walkg:  s8addq r1, r10, r2
         bgt  r29, route
         halt
 `,
-	},
-}
+		},
+	}
+})

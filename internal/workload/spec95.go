@@ -1,18 +1,21 @@
 package workload
 
+import "sync"
+
 // The eight SPECint95-flavored kernels. Register conventions: r29 outer loop
 // counter, r28 inner counter, r10.. data base pointers, r20.. accumulators,
 // r24/r25 input-tape base/cursor (r23 tape scratch), r26 return address,
 // r27 call target.
 
-var spec95 = []*Workload{
-	{
-		Name:  "compress",
-		Suite: "SPECint95",
-		Description: "LZW-style compression: arithmetic rolling hash of an " +
-			"input byte tape probing a 4096-entry code table, inserting on miss.",
-		MaxInsts: 1_000_000,
-		Source: tapeData(0x18000, 11) + `
+var spec95 = sync.OnceValue(func() []*Workload {
+	return []*Workload{
+		{
+			Name:  "compress",
+			Suite: "SPECint95",
+			Description: "LZW-style compression: arithmetic rolling hash of an " +
+				"input byte tape probing a 4096-entry code table, inserting on miss.",
+			MaxInsts: 1_000_000,
+			Source: tapeData(0x18000, 11) + `
         li   r10, 0x10000        ; code table (4096 x 8B, starts empty)
 ` + tapeSetup("0x18000") + `
         clr  r20                 ; codes emitted
@@ -41,15 +44,15 @@ next:   subq r29, #1, r29
         bgt  r29, loop
         halt
 `,
-	},
-	{
-		Name:  "gcc",
-		Suite: "SPECint95",
-		Description: "Compiler-style IR walk: build a 600-node linked pool " +
-			"(14KB, exceeding the 8KB L1D) from input data, then traverse with " +
-			"type-dependent branches.",
-		MaxInsts: 1_000_000,
-		Source: tapeData(0x28000, 22) + `
+		},
+		{
+			Name:  "gcc",
+			Suite: "SPECint95",
+			Description: "Compiler-style IR walk: build a 600-node linked pool " +
+				"(14KB, exceeding the 8KB L1D) from input data, then traverse with " +
+				"type-dependent branches.",
+			MaxInsts: 1_000_000,
+			Source: tapeData(0x28000, 22) + `
         li   r10, 0x20000        ; node pool: [next, type, value] x 24B
 ` + tapeSetup("0x28000") + `
         mov  r10, r1
@@ -87,19 +90,19 @@ adv:    ldq  r1, 0(r1)
         bgt  r29, walk
         halt
 `,
-	},
-	{
-		Name:  "go",
-		Suite: "SPECint95",
-		Description: "Game-tree evaluation: scan a 19x19 board of random " +
-			"stones, counting chains and liberties with data-dependent branches and CMOVs.",
-		MaxInsts: 1_000_000,
-		Source: dataBytes(0x30000, 361, 33, func(v uint64) uint64 {
-			if v&3 == 3 {
-				return 0 // empties dominate
-			}
-			return v & 3
-		}) + `
+		},
+		{
+			Name:  "go",
+			Suite: "SPECint95",
+			Description: "Game-tree evaluation: scan a 19x19 board of random " +
+				"stones, counting chains and liberties with data-dependent branches and CMOVs.",
+			MaxInsts: 1_000_000,
+			Source: dataBytes(0x30000, 361, 33, func(v uint64) uint64 {
+				if v&3 == 3 {
+					return 0 // empties dominate
+				}
+				return v & 3
+			}) + `
         li   r10, 0x30000        ; board: 361 cells x 1B (input position)
         clr  r20                 ; score
         clr  r21                 ; empty count
@@ -137,16 +140,16 @@ nextc:  addq r1, #1, r1
         bgt  r29, pass
         halt
 `,
-	},
-	{
-		Name:  "ijpeg",
-		Suite: "SPECint95",
-		Description: "Image transform: 1-D 8-point DCT-like multiply-" +
-			"accumulate butterflies over sample rows with descale shifts.",
-		MaxInsts: 1_200_000,
-		Source: dataQuads(0x40000, 1024, 44, func(v uint64) uint64 {
-			return uint64(int64(v&1023) - 512) // centered samples
-		}) + `
+		},
+		{
+			Name:  "ijpeg",
+			Suite: "SPECint95",
+			Description: "Image transform: 1-D 8-point DCT-like multiply-" +
+				"accumulate butterflies over sample rows with descale shifts.",
+			MaxInsts: 1_200_000,
+			Source: dataQuads(0x40000, 1024, 44, func(v uint64) uint64 {
+				return uint64(int64(v&1023) - 512) // centered samples
+			}) + `
         li   r10, 0x40000        ; sample buffer: 1024 x 8B (input image)
         li   r12, 1004           ; scaled cosine constants
         li   r13, 851
@@ -184,14 +187,14 @@ row:    ldq  r2, 0(r1)
         bgt  r29, pass
         halt
 `,
-	},
-	{
-		Name:  "li",
-		Suite: "SPECint95",
-		Description: "Lisp interpreter: build a 700-cell cons list from input " +
-			"data, then recursively sum it (deep call/return chains through a software stack).",
-		MaxInsts: 1_200_000,
-		Source: tapeData(0x58000, 55) + `
+		},
+		{
+			Name:  "li",
+			Suite: "SPECint95",
+			Description: "Lisp interpreter: build a 700-cell cons list from input " +
+				"data, then recursively sum it (deep call/return chains through a software stack).",
+			MaxInsts: 1_200_000,
+			Source: tapeData(0x58000, 55) + `
         .entry main
 ; sumlist(r1 = cell) -> r0, recursive: car + sumlist(cdr)
 sumlist:
@@ -234,20 +237,20 @@ sum:    mov  r11, r1
         bgt  r29, sum
         halt
 `,
-	},
-	{
-		Name:  "m88ksim",
-		Suite: "SPECint95",
-		Description: "CPU simulator: fetch pseudo-instructions from an input " +
-			"image, decode opcode fields with shifts/masks, dispatch through an " +
-			"indirect jump table.",
-		MaxInsts: 1_000_000,
-		Source: dataQuads(0x60000, 512, 66, func(v uint64) uint64 {
-			if v%5 != 0 {
-				v &^= 0x300 // 80% of emulated instructions are op0
-			}
-			return v
-		}) + `
+		},
+		{
+			Name:  "m88ksim",
+			Suite: "SPECint95",
+			Description: "CPU simulator: fetch pseudo-instructions from an input " +
+				"image, decode opcode fields with shifts/masks, dispatch through an " +
+				"indirect jump table.",
+			MaxInsts: 1_000_000,
+			Source: dataQuads(0x60000, 512, 66, func(v uint64) uint64 {
+				if v%5 != 0 {
+					v &^= 0x300 // 80% of emulated instructions are op0
+				}
+				return v
+			}) + `
         .entry main
 op0:    addq r20, r2, r20        ; emulated ADD
         br   r31, dispd
@@ -289,14 +292,14 @@ dispd:  addq r12, #1, r12
         bgt  r29, disp
         halt
 `,
-	},
-	{
-		Name:  "perl",
-		Suite: "SPECint95",
-		Description: "Interpreter hash tables: hash input byte strings into a " +
-			"1024-bucket table with probe chains and byte-granularity key reads.",
-		MaxInsts: 1_200_000,
-		Source: dataBytes(0x70000, 4096, 77, nil) + tapeData(0x7c000, 78) + `
+		},
+		{
+			Name:  "perl",
+			Suite: "SPECint95",
+			Description: "Interpreter hash tables: hash input byte strings into a " +
+				"1024-bucket table with probe chains and byte-granularity key reads.",
+			MaxInsts: 1_200_000,
+			Source: dataBytes(0x70000, 4096, 77, nil) + tapeData(0x7c000, 78) + `
         li   r10, 0x70000        ; string area: 4KB of input bytes
         li   r11, 0x78000        ; hash table: 1024 buckets x 8B
 ` + tapeSetup("0x7c000") + `
@@ -333,14 +336,14 @@ nextl:  subq r29, #1, r29
         bgt  r29, lookup
         halt
 `,
-	},
-	{
-		Name:  "vortex",
-		Suite: "SPECint95",
-		Description: "Object database: insert and query 64-byte records " +
-			"through subroutine calls, validating fields and updating indices.",
-		MaxInsts: 1_200_000,
-		Source: tapeData(0x98000, 88) + `
+		},
+		{
+			Name:  "vortex",
+			Suite: "SPECint95",
+			Description: "Object database: insert and query 64-byte records " +
+				"through subroutine calls, validating fields and updating indices.",
+			MaxInsts: 1_200_000,
+			Source: tapeData(0x98000, 88) + `
         .entry main
 ; insert(r1 = key): writes record at slot key%256, returns r0 = slot addr
 insert: and  r1, #255, r2
@@ -384,5 +387,6 @@ nextt:  subq r29, #1, r29
         bgt  r29, txn
         halt
 `,
-	},
-}
+		},
+	}
+})

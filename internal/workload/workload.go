@@ -135,17 +135,22 @@ func (c *trCache) get(w *Workload) ([]emu.TraceEntry, error) {
 	return t, nil
 }
 
+// The SPEC-flavored lists are built on first use, not at package init:
+// formatting their sources and input data is wasted work for processes that
+// only run Generate kernels.
+
 // SPECint95 returns the eight SPECint95-flavored workloads.
-func SPECint95() []*Workload { return spec95 }
+func SPECint95() []*Workload { return spec95() }
 
 // SPECint2000 returns the twelve SPECint2000-flavored workloads.
-func SPECint2000() []*Workload { return spec2000 }
+func SPECint2000() []*Workload { return spec2000() }
 
 // All returns all twenty workloads, SPECint95 first.
 func All() []*Workload {
-	out := make([]*Workload, 0, len(spec95)+len(spec2000))
-	out = append(out, spec95...)
-	out = append(out, spec2000...)
+	s95, s2k := spec95(), spec2000()
+	out := make([]*Workload, 0, len(s95)+len(s2k))
+	out = append(out, s95...)
+	out = append(out, s2k...)
 	return out
 }
 

@@ -1,6 +1,10 @@
 package workload
 
 import (
+	"os"
+	"os/exec"
+	"regexp"
+	"strconv"
 	"testing"
 
 	"repro/internal/isa"
@@ -174,5 +178,24 @@ func TestTracesAreCachedAndDeterministic(t *testing.T) {
 		if t1[i] != t2[i] {
 			t.Fatalf("trace entry %d differs", i)
 		}
+	}
+}
+
+// The SPEC lists are built on first use: initializing the package must not
+// format twenty assembly sources. The test re-runs its own binary with no
+// tests selected and reads the runtime's per-package init report.
+func TestPackageInitIsCheap(t *testing.T) {
+	cmd := exec.Command(os.Args[0], "-test.run=^$")
+	cmd.Env = append(os.Environ(), "GODEBUG=inittrace=1")
+	out, err := cmd.CombinedOutput()
+	if err != nil {
+		t.Fatalf("re-running test binary: %v\n%s", err, out)
+	}
+	m := regexp.MustCompile(`init repro/internal/workload @.*, (\d+) bytes, \d+ allocs`).FindSubmatch(out)
+	if m == nil {
+		t.Fatalf("no init trace for repro/internal/workload in:\n%s", out)
+	}
+	if b, _ := strconv.Atoi(string(m[1])); b >= 64<<10 {
+		t.Errorf("package init allocated %d bytes, want < 64 KiB", b)
 	}
 }

@@ -30,6 +30,9 @@ go run ./cmd/rbcheck -quick
 # the grid chaos campaign: routing under worker kills, hedge races, the
 # heartbeat health model, and torn-journal resume with byte-identity.
 go run ./cmd/rbfault -quick -grid >/dev/null
+# The service-chaos faults wedge and release every pool worker, so run the
+# campaign again with a multi-worker pool whatever the host's CPU count.
+GOMAXPROCS=4 go run ./cmd/rbfault -quick -grid >/dev/null
 # Fuzz smoke leg: a few seconds of coverage-guided search on the
 # differential fuzz targets — the packed 64-lane engine vs the scalar
 # oracle, plus the adder-equivalence and lockstep targets. Any minimized
@@ -42,8 +45,11 @@ go test -run '^$' -fuzz '^FuzzJournalReplay$' -fuzztime 5s ./internal/grid/
 # Focused race leg: the packages with real cross-goroutine traffic (worker
 # pool, response cache, HTTP service, fault campaigns) get a second -race
 # shake beyond the one-shot full run above, to catch schedule-dependent
-# races like Submit-vs-Close.
-go test -race -count=2 -timeout 20m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/
+# races like Submit-vs-Close. -cpu 1,2,4 runs them at fixed GOMAXPROCS
+# values so the gate does not depend on the host's CPU count: a hang that
+# only appears with several pool workers (or only with one) fails here on
+# any machine.
+go test -race -count=2 -cpu 1,2,4 -timeout 40m ./internal/pool/ ./internal/rcache/ ./internal/server/ ./internal/fault/ ./internal/grid/
 
 # rbserve smoke test: boot the server on an ephemeral port, probe liveness
 # and metrics with its built-in client (no curl dependency), and require the
